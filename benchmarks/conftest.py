@@ -14,6 +14,7 @@ object counts and transaction counts for fuller runs.
 
 import os
 import sys
+import types
 
 import pytest
 
@@ -61,6 +62,19 @@ def bench_scale():
         "workload_scale": 0.05,
         "recovery_sizes": (1_000, 5_000),
     }
+
+
+@pytest.fixture(scope="session")
+def bench_out(tmp_path_factory):
+    """Where benchmark snapshots and trajectory-ledger entries are written.
+
+    Test runs never write into the checkout: each session's ``BENCH_*.json``
+    snapshots (``bench_out.dir``) and ledger entries (``bench_out.ledger``)
+    land under pytest's temporary directory; pass ``--basetemp DIR`` to keep
+    them.  Recording on purpose is ``scripts/bench_trajectory.py``'s job.
+    """
+    root = tmp_path_factory.mktemp("bench")
+    return types.SimpleNamespace(dir=root, ledger=str(root / "BENCH_trajectory.json"))
 
 
 def run_once(benchmark, fn):

@@ -22,13 +22,12 @@ bare/audited rounds after a discarded warm-up run — a single cold
 bare one (overhead_ratio 0.83), which is physically meaningless: the bare
 arm ran first and soaked up the process's import/allocator warm-up, and
 host-speed drift between the two measurement windows did the rest.
-The measured numbers are snapshotted to ``BENCH_audit.json`` in the repo
-root for FIGURES.md, and both arms are appended to the cross-PR trajectory
-ledger (``BENCH_trajectory.json``) via :mod:`repro.harness.perfbench`.
+The measured numbers are snapshotted to ``BENCH_audit.json`` and both arms
+are appended to a trajectory ledger via :mod:`repro.harness.perfbench`, both
+in the session's ``bench_out`` directory (never the checkout).
 """
 
 import json
-import os
 import statistics
 import time
 
@@ -38,9 +37,6 @@ from repro.harness import perfbench
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 from .conftest import SCALE, run_once
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOT = os.path.join(_REPO_ROOT, "BENCH_audit.json")
 
 
 def _engine(num_accounts, clients, seed=11):
@@ -61,7 +57,7 @@ def _engine(num_accounts, clients, seed=11):
     return engine, workload
 
 
-def test_audit_overhead(benchmark, bench_scale):
+def test_audit_overhead(benchmark, bench_scale, bench_out):
     """Bare vs audited run of the same fixed-seed workload."""
     transactions = bench_scale["transactions"]
     clients = bench_scale["clients"]
@@ -132,17 +128,16 @@ def test_audit_overhead(benchmark, bench_scale):
         "max_retained_edges": report.max_retained_edges,
         "watermark_ts": report.watermark_ts,
     }
-    with open(_SNAPSHOT, "w") as fh:
+    with open(bench_out.dir / "BENCH_audit.json", "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # Append both arms to the cross-PR trajectory ledger so the overhead
-    # history survives re-runs instead of being clobbered.
+    # Append both arms to the trajectory ledger.
     signature = perfbench.results_signature(bare)
     for bench, wall, stats in (("audit-overhead-bare", bare_wall, bare),
                                ("audit-overhead-audited", audited_wall, audited)):
         perfbench.append_entry(
-            perfbench.DEFAULT_LEDGER, bench, wall, scale=SCALE, repeats=3,
+            bench_out.ledger, bench, wall, scale=SCALE, repeats=3,
             metrics={"committed": stats.committed,
                      "simulated_tps": round(stats.throughput_tps, 1),
                      "overhead_ratio": round(overhead, 4)},

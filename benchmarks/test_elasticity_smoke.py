@@ -17,22 +17,18 @@ the PR's acceptance bar:
 * **The control loop actually actuated** — at least one scale-up decision
   and one completed oblivious migration window.
 
-The measured rows are snapshotted to ``BENCH_elasticity.json`` in the repo
-root for FIGURES.md, and the sweep is appended to the cross-PR trajectory
-ledger (``BENCH_trajectory.json``).
+The measured rows are snapshotted to ``BENCH_elasticity.json`` and the
+sweep is appended to a trajectory ledger, both in the session's
+``bench_out`` directory (never the checkout).
 """
 
 import json
-import os
 import time
 
 from repro.harness import perfbench
 from repro.harness.experiments import run_elasticity_comparison
 
 from .conftest import SCALE, run_once
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOT = os.path.join(_REPO_ROOT, "BENCH_elasticity.json")
 
 
 def _print_rows(rows):
@@ -47,7 +43,7 @@ def _print_rows(rows):
               f"{str(row.final_topology):>10s} {str(row.audit_ok):>5s}")
 
 
-def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
+def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale, bench_out):
     """Autoscaled drops strictly fewer and achieves >= static tps.
 
     The spike must outlast the controller's reaction (patience waves) plus
@@ -108,13 +104,13 @@ def test_autoscaler_beats_static_under_flash_crowd(benchmark, bench_scale):
              "audit_ok": row.audit_ok}
             for row in rows],
     }
-    with open(_SNAPSHOT, "w") as fh:
+    with open(bench_out.dir / "BENCH_elasticity.json", "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # Append the sweep to the cross-PR trajectory ledger.
+    # Append the sweep to the trajectory ledger.
     perfbench.append_entry(
-        perfbench.DEFAULT_LEDGER, "elasticity-flash-crowd", sweep_wall,
+        bench_out.ledger, "elasticity-flash-crowd", sweep_wall,
         scale=SCALE, repeats=1,
         metrics={"autoscaled_dropped": autoscaled.dropped,
                  "static_dropped": static.dropped,

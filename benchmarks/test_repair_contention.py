@@ -20,13 +20,12 @@ ceiling — on the two contended workloads of the evaluation and pins:
   runs under the streaming auditor (``audit_ok``), and a direct run's
   committed history additionally passes the *offline* cycle check.
 
-The measured rows are snapshotted to ``BENCH_repair.json`` in the repo root
-for FIGURES.md, and each workload's sweep is appended to the cross-PR
-trajectory ledger (``BENCH_trajectory.json``).
+The measured rows are snapshotted to ``BENCH_repair.json`` and each
+workload's sweep is appended to a trajectory ledger, both in the session's
+``bench_out`` directory (never the checkout).
 """
 
 import json
-import os
 import time
 
 from repro.api import EngineConfig, create_engine
@@ -36,9 +35,6 @@ from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.harness.experiments import run_repair_comparison
 
 from .conftest import SCALE, run_once
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOT = os.path.join(_REPO_ROOT, "BENCH_repair.json")
 
 AT_KNEE = 2.0
 PAST_KNEE = 4.0
@@ -57,7 +53,7 @@ def _print_rows(workload, rows):
               f"{str(row.audit_ok):>5s}")
 
 
-def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
+def test_repair_beats_retry_at_the_knee(benchmark, bench_scale, bench_out):
     """Repair >= retry committed throughput at 2x/4x the knee, both workloads."""
     transactions = max(64, bench_scale["transactions"] // 2)
     num_accounts = max(60, int(2_000 * bench_scale["workload_scale"]))
@@ -118,15 +114,15 @@ def test_repair_beats_retry_at_the_knee(benchmark, bench_scale):
     snapshot["transactions"] = transactions
     snapshot["num_accounts"] = num_accounts
     snapshot["rate_multipliers"] = list(MULTIPLIERS)
-    with open(_SNAPSHOT, "w") as fh:
+    with open(bench_out.dir / "BENCH_repair.json", "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    # Append each workload's sweep to the cross-PR trajectory ledger.
+    # Append each workload's sweep to the trajectory ledger.
     for workload, rows in sweeps.items():
         by_key = {(row.strategy, row.rate_multiplier): row for row in rows}
         perfbench.append_entry(
-            perfbench.DEFAULT_LEDGER, f"repair-contention-{workload}",
+            bench_out.ledger, f"repair-contention-{workload}",
             sweep_walls[workload], scale=SCALE, repeats=1,
             metrics={"repair_tps_at_knee":
                          round(by_key[("repair", AT_KNEE)].achieved_tps, 2),

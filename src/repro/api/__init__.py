@@ -6,8 +6,7 @@ NoPriv and a MySQL-like store.  This package is that idea as an API:
 * :class:`~repro.api.engine.TransactionEngine` — the interface every system
   implements (``submit`` / ``submit_many`` / ``transaction()`` /
   ``run_closed_loop`` / ``stats`` / ``crash``/``recover`` where supported);
-* :class:`~repro.api.results.RunStats` — the one closed-loop result type
-  (replacing the old ``BaselineRunResult`` / ``WorkloadRun`` split);
+* :class:`~repro.api.results.RunStats` — the one closed-loop result type;
 * :func:`~repro.api.factory.create_engine` and the fluent
   :class:`~repro.api.factory.EngineConfig` — construction;
 * :func:`~repro.api.loop.run_closed_loop` and

@@ -13,12 +13,12 @@ The batch manager enforces the epoch's fixed structure (paper §6.2):
 * leftover slots are padded with dummy requests before dispatch;
 * the single write batch holds at most ``b_write`` distinct keys.
 
-With a partitioned data layer (``shards > 1``) the fixed structure holds
-*per partition*: each read batch carries a quota of ``ceil(b_read/shards)``
-slots per partition and the write batch a quota of ``ceil(b_write/shards)``
-per partition, because each partition executes (and pads) its share of the
-batch independently.  A key whose partition quota is exhausted spills to
-the next batch exactly like a full batch does today.
+With a partitioner the fixed structure holds *per partition*: each read
+batch carries a quota of ``ceil(b_read/shards)`` slots per partition and the
+write batch a quota of ``ceil(b_write/shards)`` per partition, because each
+partition executes (and pads) its share of the batch independently.  A key
+whose partition quota is exhausted spills to the next batch exactly like a
+full batch does.  With one partition the quota is the whole batch.
 """
 
 from __future__ import annotations

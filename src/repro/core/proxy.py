@@ -95,17 +95,17 @@ class ObladiProxy:
         import os as _os
         self.master_key = master_key if master_key is not None else _os.urandom(32)
 
-        # The data path lives behind the DataLayer seam: one Ring ORAM tree,
-        # or — with ``config.shards > 1`` — N hash-partitioned parallel trees.
-        # A reshard cutover (repro.elasticity) injects the already-populated
-        # next-generation layer instead of building a fresh empty one.
+        # The data path: ``config.shards`` hash-partitioned Ring ORAM trees
+        # (one, the paper's single tree, by default).  A reshard cutover
+        # (repro.elasticity) injects the already-populated next-generation
+        # layer instead of building a fresh empty one.
         if data_layer is not None:
             self.data_layer = data_layer
         else:
-            from repro.sharding import build_data_layer
-            self.data_layer = build_data_layer(self.config, storage=self.storage,
-                                               clock=self.clock,
-                                               master_key=self.master_key)
+            from repro.sharding import PartitionedDataLayer
+            self.data_layer = PartitionedDataLayer(self.config, storage=self.storage,
+                                                   clock=self.clock,
+                                                   master_key=self.master_key)
         # Single-partition views kept for compatibility: most introspection
         # (tests, harness, sequential baselines) reads partition 0 directly.
         part0 = self.data_layer.partitions[0]
@@ -115,17 +115,12 @@ class ObladiProxy:
         self.cipher = part0.oram.cipher
 
         self.mvtso = MVTSOManager()
-        if self.config.shards > 1:
-            self.batch_manager = BatchManager(
-                self.config.read_batches, self.config.read_batch_size,
-                self.config.write_batch_size,
-                partitioner=self.data_layer.partition_of,
-                read_partition_quota=self.config.partition_read_batch_size,
-                write_partition_quota=self.config.partition_write_batch_size)
-        else:
-            self.batch_manager = BatchManager(self.config.read_batches,
-                                              self.config.read_batch_size,
-                                              self.config.write_batch_size)
+        self.batch_manager = BatchManager(
+            self.config.read_batches, self.config.read_batch_size,
+            self.config.write_batch_size,
+            partitioner=self.data_layer.partition_of,
+            read_partition_quota=self.config.partition_read_batch_size,
+            write_partition_quota=self.config.partition_write_batch_size)
 
         self.recovery = recovery_manager
         if self.recovery is None and self.config.durability:

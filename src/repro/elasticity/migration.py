@@ -104,13 +104,13 @@ class TopologyMigration:
     """
 
     def __init__(self, proxy, target: ObladiConfig, storage) -> None:
-        from repro.sharding import build_data_layer
+        from repro.sharding import PartitionedDataLayer
         self.source = proxy.data_layer
         self.target_config = target
         self.storage = storage
-        self.layer = build_data_layer(target, storage=storage,
-                                      clock=proxy.clock,
-                                      master_key=proxy.master_key)
+        self.layer = PartitionedDataLayer(target, storage=storage,
+                                          clock=proxy.clock,
+                                          master_key=proxy.master_key)
         seeds = sorted({key for part in self.source.partitions
                         for key in part.directory.keys()})
         # Insertion-ordered copy queue: ``None`` means "read the committed

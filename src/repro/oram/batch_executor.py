@@ -31,8 +31,7 @@ from repro.oram.crypto import freshness_context
 from repro.oram.dependency import (PhysicalRead, simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.oram import path_math
-from repro.oram.ring_oram import (BucketRewrite, EvictionPlan, PathReadPlan, RingOram,
-                                  SlotRead)
+from repro.oram.ring_oram import BucketRewrite, PathReadPlan, RingOram, SlotRead
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -188,14 +187,8 @@ class EpochBatchExecutor:
                 fetched[block_id] = value
         return fetched
 
-    def _drain_plan(self, plan: EvictionPlan, physical: List[PhysicalRead]) -> Dict[int, bytes]:
-        """Fetch every slot of an eviction/reshuffle read phase."""
-        return self._fetch_slots(plan.slot_reads, physical)
-
-    def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite],
-                         physical: List[PhysicalRead]) -> None:
+    def _buffer_rewrites(self, rewrites: Sequence[BucketRewrite]) -> None:
         """Buffer (or, if buffering is off, immediately apply) bucket rewrites."""
-        del physical
         if self.buffer_writes:
             for rewrite in rewrites:
                 if rewrite.bucket_id in self._buffered_rewrites:
@@ -226,18 +219,16 @@ class EpochBatchExecutor:
         """Early reshuffles for over-read buckets plus any due evict-path."""
         for bid in self.oram.buckets_needing_reshuffle(touched_buckets):
             plan = self.oram.plan_early_reshuffle(bid)
-            fetched = self._drain_plan(plan, physical)
-            rewrites = self.oram.complete_eviction(plan, fetched)
-            self._buffer_rewrites(rewrites, physical)
+            fetched = self._fetch_slots(plan.slot_reads, physical)
+            self._buffer_rewrites(self.oram.complete_eviction(plan, fetched))
             self.stats.early_reshuffles += 1
             self.lifetime_stats.early_reshuffles += 1
 
         while self.oram.access_count % self.oram.params.evict_rate == 0 and \
                 self.oram.access_count > self.oram.eviction_count * self.oram.params.evict_rate:
             plan = self.oram.plan_eviction()
-            fetched = self._drain_plan(plan, physical)
-            rewrites = self.oram.complete_eviction(plan, fetched)
-            self._buffer_rewrites(rewrites, physical)
+            fetched = self._fetch_slots(plan.slot_reads, physical)
+            self._buffer_rewrites(self.oram.complete_eviction(plan, fetched))
             self.stats.evictions += 1
             self.lifetime_stats.evictions += 1
 

@@ -292,7 +292,7 @@ class RingOram:
         rewrites: List[BucketRewrite] = []
         if plan.kind == "reshuffle":
             for bid in plan.bucket_ids:
-                rewrites.append(self._rewrite_bucket_from_stash(bid, restrict_to_bucket=True))
+                rewrites.append(self._rewrite_bucket_from_stash(bid))
             return rewrites
 
         # Ordinary evict-path: fill buckets from the leaf upwards so blocks
@@ -321,9 +321,8 @@ class RingOram:
             self.stash.mark_residue(block_id)
         return rewrites
 
-    def _rewrite_bucket_from_stash(self, bucket_id: int, restrict_to_bucket: bool) -> BucketRewrite:
+    def _rewrite_bucket_from_stash(self, bucket_id: int) -> BucketRewrite:
         """Early reshuffle: rewrite one bucket with the blocks it already held."""
-        del restrict_to_bucket
         level = path_math.bucket_level(bucket_id)
         index = path_math.bucket_index_in_level(bucket_id)
         placements: List[Tuple[int, bytes]] = []

@@ -9,7 +9,7 @@ routes every read/write to the owning worker, charges concurrency-control
 CPU as parallel worker lanes on the simulated clock, and runs a lightweight
 2PC over the epoch boundary — every participating worker votes commit/abort
 per transaction — before merging the epoch's batches into the existing
-``DataLayer`` fan-out.
+data-layer fan-out.
 
 Selected by ``ObladiConfig.proxy_workers`` /
 ``EngineConfig.with_proxy_workers(N)``; ``proxy_workers=1`` builds the

@@ -24,8 +24,7 @@ owned by N :class:`~repro.proxytier.worker.ProxyWorker` slices:
 
 ``proxy_workers=1`` deployments never see this class —
 :func:`build_proxy` (and therefore ``create_engine``/crash recovery)
-constructs the plain :class:`~repro.core.proxy.ObladiProxy`, the same seam
-discipline ``SingleOramDataLayer`` follows on the data path.  See
+constructs the plain :class:`~repro.core.proxy.ObladiProxy`.  See
 ``docs/ARCHITECTURE.md`` — "Distributed proxy tier".
 """
 
@@ -211,8 +210,7 @@ def build_proxy(config: Optional[ObladiConfig] = None, storage=None, clock=None,
 
     ``proxy_workers=1`` (the default) returns the plain
     :class:`~repro.core.proxy.ObladiProxy` — byte-identical to the seed
-    system, the same way ``build_data_layer`` returns the single-tree layer
-    for ``shards=1``.  Anything larger returns a :class:`ProxyCoordinator`.
+    system.  Anything larger returns a :class:`ProxyCoordinator`.
     ``data_layer`` injects an already-populated layer instead of building a
     fresh one — the reshard cutover (``repro.elasticity``) hands the new
     proxy the layer its migration filled.

@@ -1,10 +1,10 @@
-"""Partitioned oblivious storage: the :class:`DataLayer` seam.
+"""Partitioned oblivious storage: the proxy's data layer.
 
 The proxy's data path — key directory, version cache, Ring ORAM batches —
-sits behind one interface with two implementations: a single tree
-(:class:`SingleOramDataLayer`, the paper's proxy) and a hash-partitioned
-set of parallel trees (:class:`PartitionedDataLayer`, the "sharded Obladi"
-scale direction).  ``build_data_layer`` picks one from the configuration.
+is one class, :class:`PartitionedDataLayer`, running ``config.shards >= 1``
+hash-partitioned Ring ORAM trees.  One partition is the paper's proxy (a
+single tree over the raw store); more are the "sharded Obladi" scale
+direction.
 
 A partitioned layer also decides *where* each partition lives: with
 ``storage_servers > 1`` the partitions are hosted on distinct simulated
@@ -18,17 +18,12 @@ This package shards the *untrusted* data path; its trusted-tier sibling is
 workers).  ``docs/ARCHITECTURE.md`` walks both layers.
 """
 
-from repro.sharding.data_layer import (DataLayer, OramPartition,
-                                       SingleOramDataLayer, key_partition)
-from repro.sharding.partitioned import (FanoutStats, PartitionedDataLayer,
-                                        build_data_layer)
+from repro.sharding.data_layer import OramPartition, key_partition
+from repro.sharding.partitioned import FanoutStats, PartitionedDataLayer
 
 __all__ = [
-    "DataLayer",
     "OramPartition",
-    "SingleOramDataLayer",
     "PartitionedDataLayer",
     "FanoutStats",
-    "build_data_layer",
     "key_partition",
 ]

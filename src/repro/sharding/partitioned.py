@@ -1,4 +1,4 @@
-"""N independent Ring ORAM partitions behind the :class:`DataLayer` seam.
+"""The proxy's oblivious data path: N >= 1 independent Ring ORAM partitions.
 
 The keyspace is hashed across ``config.shards`` partitions, each with its
 own position map, stash, bucket metadata, key directory and storage
@@ -7,6 +7,12 @@ namespace (``p<i>/``).  An epoch read batch of ``b_read`` slots fans out as
 each; the write batch fans out the same way.  Per-partition obliviousness is
 preserved because every partition executes its full padded batch every round
 regardless of how many real requests hashed to it.
+
+``shards=1`` — the paper's proxy — is the same class with one partition:
+its quota is the whole batch, and it addresses the raw store under the
+historical key purpose and seed
+(:func:`~repro.sharding.data_layer.build_partition`), so its storage layout
+and adversary trace are the single-tree ones.
 
 **Server topology.**  Where each partition's namespace lives is the
 ``config.storage_servers`` knob: with one server (default) every namespace
@@ -34,16 +40,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import ObladiConfig
 from repro.core.version_cache import VersionCache
-from repro.sharding.data_layer import DataLayer, build_partition, key_partition
+from repro.sharding.data_layer import OramPartition, build_partition
 from repro.sim.clock import SimClock
 from repro.sim.scheduler import ParallelScheduler, ScheduledOp
 from repro.storage.backend import StorageServer
 from repro.storage.cluster import StorageCluster
-from repro.storage.namespace import NamespacedStorage, partition_prefix
 
 
 @dataclass
@@ -76,17 +81,19 @@ class FanoutStats:
         self.actual_ms += actual_ms
 
 
-class PartitionedDataLayer(DataLayer):
-    """Shard the keyspace across parallel Ring ORAM partitions."""
+class PartitionedDataLayer:
+    """What the proxy needs from its oblivious data path, per epoch.
+
+    Owns ``config.shards`` :class:`OramPartition` objects plus the epoch's
+    shared :class:`VersionCache`; routes application keys to partitions and
+    models how much simulated time an epoch's physical batches take on the
+    shared clock.
+    """
 
     def __init__(self, config: ObladiConfig, storage: StorageServer,
                  clock: SimClock, master_key: bytes) -> None:
-        if config.shards < 2:
-            raise ValueError("PartitionedDataLayer needs at least two shards; "
-                             "use SingleOramDataLayer for one")
         self.config = config
         self.clock = clock
-        self.base_storage = storage
         self.cache = VersionCache()
         self._fanout_scheduler = ParallelScheduler(config.fanout_lanes)
         self.fanout_stats = FanoutStats()
@@ -106,36 +113,31 @@ class PartitionedDataLayer(DataLayer):
             raise ValueError(
                 f"storage cluster has {cluster.num_servers} servers but the "
                 f"configuration asks for {config.storage_servers}")
-        self.partitions = []
+        self.partitions: List[OramPartition] = []
         for index in range(config.shards):
-            # Reshard cutovers bump config.generation; the generation prefix
-            # ("" at generation 0) namespaces this topology's partitions away
-            # from the ones it replaced on the same storage.
-            prefix = config.generation_prefix + partition_prefix(index)
             # Each partition addresses its own host server (round-robin on a
-            # cluster, the shared store otherwise) through its namespace, and
-            # its executor is timed against that link's latency model.
+            # cluster, the shared store otherwise), and its executor is timed
+            # against that link's latency model.
             if cluster is not None:
                 host_index = index % config.storage_servers
                 host = cluster.servers[host_index]
                 link = cluster.link_models[host_index]
             else:
                 host, link = storage, None
-            view = NamespacedStorage(host, prefix)
-            # Distinct deterministic RNG streams per partition (position
-            # remapping, permutations); None stays None (non-reproducible).
-            seed = None if config.seed is None else (
-                config.seed + 1_000_003 * (index + 1) + config.partition_seed)
             self.partitions.append(
-                build_partition(config, index, view, clock, master_key,
-                                self.cache, component_prefix=prefix,
-                                seed=seed, advance_clock=False, latency=link))
+                build_partition(config, index, host, clock, master_key,
+                                self.cache, latency=link))
         self._partition_cache: Dict[str, int] = {}
         # Midstate of sha256 over the seed prefix: routing a cache-missed key
         # is one ``copy() + update(key)`` instead of re-hashing the prefix —
         # byte-identical to :func:`repro.sharding.data_layer.key_partition`.
         self._route_state = hashlib.sha256(
             f"{config.partition_seed}:".encode("utf-8"))
+
+    @property
+    def num_partitions(self) -> int:
+        """How many ORAM partitions this layer runs."""
+        return len(self.partitions)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -149,6 +151,10 @@ class PartitionedDataLayer(DataLayer):
             index = int.from_bytes(digest.digest()[:8], "big") % self.config.shards
             self._partition_cache[key] = index
         return index
+
+    def partition_for_key(self, key: str) -> OramPartition:
+        """The partition object that holds ``key``."""
+        return self.partitions[self.partition_of(key)]
 
     def partitions_of(self, keys: Iterable[str]) -> List[int]:
         """Partition index of every key — the batched :meth:`partition_of`.
@@ -271,18 +277,42 @@ class PartitionedDataLayer(DataLayer):
             part.oram.bulk_load(blocks)
 
     # ------------------------------------------------------------------ #
+    # Cache / stash lookups (single reads while serving transactions)
+    # ------------------------------------------------------------------ #
+    def has_cached(self, key: str) -> bool:
+        """Whether the epoch's version cache holds a base value for ``key``."""
+        return self.cache.has_base(key)
+
+    def cached_value(self, key: str) -> Optional[bytes]:
+        """The cached base value of ``key`` (``None`` when absent)."""
+        return self.cache.base_value(key)
+
+    def stash_resident(self, key: str) -> bool:
+        """Whether ``key`` currently sits in its partition's stash."""
+        return self.partition_for_key(key).handler.stash_resident(key)
+
+    def stash_value(self, key: str) -> Optional[bytes]:
+        """The stash-resident value of ``key`` (``None`` when absent)."""
+        return self.partition_for_key(key).handler.stash_value(key)
+
+    # ------------------------------------------------------------------ #
+    # Accounting
+    # ------------------------------------------------------------------ #
+    def per_partition_physical(self) -> List[Tuple[int, int]]:
+        """Lifetime ``(physical_reads, physical_writes)`` per partition."""
+        return [(p.executor.lifetime_stats.physical_reads,
+                 p.executor.lifetime_stats.physical_writes)
+                for p in self.partitions]
+
+    def lifetime_physical(self) -> Tuple[int, int]:
+        """Aggregate lifetime ``(physical_reads, physical_writes)``."""
+        per = self.per_partition_physical()
+        return (sum(r for r, _ in per), sum(w for _, w in per))
+
+    # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
     @property
     def position_delta_pad_entries(self) -> int:
         """Per-partition padding bound for position-map delta checkpoints."""
         return self.config.partition_position_delta_pad_entries
-
-
-def build_data_layer(config: ObladiConfig, storage: StorageServer,
-                     clock: SimClock, master_key: bytes) -> DataLayer:
-    """Construct the data layer the configuration asks for."""
-    from repro.sharding.data_layer import SingleOramDataLayer
-    if config.shards <= 1:
-        return SingleOramDataLayer(config, storage, clock, master_key)
-    return PartitionedDataLayer(config, storage, clock, master_key)

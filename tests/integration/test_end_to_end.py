@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.baseline.mysql_like import TwoPhaseLockingStore
-from repro.baseline.nopriv import NoPrivProxy
+from repro.api import create_engine
 from repro.concurrency.serializability import check_serializable
 from repro.core.config import ObladiConfig, RingOramConfig
-from repro.core.proxy import ObladiProxy
-from repro.workloads.driver import run_baseline_closed_loop, run_obladi_closed_loop
 from repro.workloads.freehealth import FreeHealthConfig, FreeHealthWorkload
 from repro.workloads.records import record_field
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
@@ -15,13 +12,14 @@ from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 
 
 def obladi_for(data, profile, seed=3):
+    """An Obladi engine preloaded with ``data`` (the proxy is ``.proxy``)."""
     config = ObladiConfig.for_workload(
         profile, num_blocks=max(2 * len(data), 1024), backend="server",
         oram=RingOramConfig(num_blocks=max(2 * len(data), 1024), z_real=8, block_size=320),
         durability=False, read_batch_size=48, write_batch_size=64)
-    proxy = ObladiProxy(config)
-    proxy.load_initial_data(data)
-    return proxy
+    engine = create_engine("obladi", config)
+    engine.load_initial_data(data)
+    return engine
 
 
 class TestSmallBankEndToEnd:
@@ -32,16 +30,13 @@ class TestSmallBankEndToEnd:
             workload = SmallBankWorkload(SmallBankConfig(**workload_args))
             data = workload.initial_data()
             if system == "obladi":
-                proxy = obladi_for(data, "smallbank")
-                run = run_obladi_closed_loop(proxy, workload.transaction_factory,
-                                             total_transactions=40, clients=8)
-                ok, cycle = check_serializable(proxy.committed_history)
+                engine = obladi_for(data, "smallbank")
             else:
-                baseline = NoPrivProxy() if system == "nopriv" else TwoPhaseLockingStore()
-                baseline.load_initial_data(data)
-                run = run_baseline_closed_loop(baseline, workload.transaction_factory,
-                                               total_transactions=40, clients=8)
-                ok, cycle = check_serializable(baseline.committed_history)
+                engine = create_engine(system)
+                engine.load_initial_data(data)
+            run = engine.run_closed_loop(workload.transaction_factory,
+                                         total_transactions=40, clients=8)
+            ok, cycle = check_serializable(engine.committed_history)
             assert run.committed > 0, system
             assert ok, f"{system}: {cycle}"
             results[system] = run
@@ -53,7 +48,7 @@ class TestSmallBankEndToEnd:
         workload = SmallBankWorkload(SmallBankConfig(num_accounts=40, seed=7))
         data = workload.initial_data()
         total_before = sum(record_field(v, "balance", 0.0) for v in data.values())
-        proxy = obladi_for(data, "smallbank")
+        proxy = obladi_for(data, "smallbank").proxy
         # send_payment and amalgamate move money around but never create it.
         factories = [workload.send_payment_program, workload.amalgamate_program]
         for i in range(12):
@@ -84,18 +79,18 @@ class TestTPCCEndToEnd:
         workload = TPCCWorkload(TPCCConfig(warehouses=2, districts_per_warehouse=2,
                                            customers_per_district=4, items=40, seed=5))
         data = workload.initial_data()
-        proxy = obladi_for(data, "tpcc")
-        run = run_obladi_closed_loop(proxy, workload.transaction_factory,
+        engine = obladi_for(data, "tpcc")
+        run = engine.run_closed_loop(workload.transaction_factory,
                                      total_transactions=30, clients=6)
         assert run.committed > 0
-        ok, cycle = check_serializable(proxy.committed_history)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, cycle
 
     def test_new_order_ids_never_collide_under_contention(self):
         workload = TPCCWorkload(TPCCConfig(warehouses=1, districts_per_warehouse=1,
                                            customers_per_district=4, items=20, seed=9))
         data = workload.initial_data()
-        proxy = obladi_for(data, "tpcc")
+        proxy = obladi_for(data, "tpcc").proxy
         order_ids = []
         for _ in range(4):
             for _ in range(3):
@@ -111,18 +106,18 @@ class TestFreeHealthEndToEnd:
     def test_freehealth_on_obladi(self):
         workload = FreeHealthWorkload(FreeHealthConfig(num_patients=40, num_drugs=15, seed=3))
         data = workload.initial_data()
-        proxy = obladi_for(data, "freehealth")
-        run = run_obladi_closed_loop(proxy, workload.transaction_factory,
+        engine = obladi_for(data, "freehealth")
+        run = engine.run_closed_loop(workload.transaction_factory,
                                      total_transactions=30, clients=6)
         assert run.committed > 0
         assert run.abort_rate < 0.5
-        ok, cycle = check_serializable(proxy.committed_history)
+        ok, cycle = check_serializable(engine.committed_history)
         assert ok, cycle
 
     def test_episode_counter_monotone_under_contention(self):
         workload = FreeHealthWorkload(FreeHealthConfig(num_patients=5, num_drugs=10, seed=3))
         data = workload.initial_data()
-        proxy = obladi_for(data, "freehealth")
+        proxy = obladi_for(data, "freehealth").proxy
         for _ in range(3):
             for _ in range(4):
                 proxy.submit(workload.create_episode_program(patient=1))

@@ -1,11 +1,11 @@
-"""Tests for the DataLayer seam: routing, namespacing, topology, timing."""
+"""Tests for the data layer: routing, namespacing, topology, timing."""
 
 import pytest
 
 from repro.core.config import ObladiConfig, RingOramConfig
 from repro.core.proxy import ObladiProxy
-from repro.sharding import (PartitionedDataLayer, SingleOramDataLayer,
-                            build_data_layer, key_partition)
+from repro.recovery.manager import derive_key
+from repro.sharding import PartitionedDataLayer, key_partition
 from repro.sim.clock import SimClock
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import InMemoryStorageServer
@@ -25,8 +25,8 @@ def _config(**overrides):
 def _layer(shards):
     clock = SimClock()
     storage = InMemoryStorageServer(latency="dummy", clock=clock, charge_latency=False)
-    return build_data_layer(_config(shards=shards), storage=storage, clock=clock,
-                            master_key=b"m" * 32)
+    return PartitionedDataLayer(_config(shards=shards), storage=storage,
+                                clock=clock, master_key=b"m" * 32), storage
 
 
 class TestKeyPartition:
@@ -83,34 +83,39 @@ class TestNamespacedStorage:
         assert unstripped.keys_accessed() == ["p1/x"]
 
 
-class TestBuildDataLayer:
-    def test_single_layer_for_one_shard(self):
-        layer = _layer(1)
-        assert isinstance(layer, SingleOramDataLayer)
+class TestConstruction:
+    def test_one_shard_is_one_partition_over_the_raw_store(self):
+        """shards=1 keeps the single-tree layout: no namespace, the whole
+        ORAM sizing and the historical ``oram-block`` key purpose."""
+        layer, storage = _layer(1)
         assert layer.num_partitions == 1
-        assert layer.partitions[0].component_prefix == ""
+        part = layer.partitions[0]
+        assert part.component_prefix == ""
+        assert part.storage is storage
+        assert part.oram.params.num_blocks == 256
+        assert part.cipher.key == derive_key(b"m" * 32, "oram-block")
+        assert [layer.partition_of(f"k{i}") for i in range(20)] == [0] * 20
 
     def test_partitioned_layer_for_many_shards(self):
-        layer = _layer(4)
-        assert isinstance(layer, PartitionedDataLayer)
+        layer, _ = _layer(4)
         assert layer.num_partitions == 4
         assert [p.component_prefix for p in layer.partitions] == \
             ["p0/", "p1/", "p2/", "p3/"]
 
     def test_partitions_have_independent_state(self):
-        layer = _layer(4)
+        layer, _ = _layer(4)
         orams = [p.oram for p in layer.partitions]
         assert len({id(o.position_map) for o in orams}) == 4
         assert len({id(o.stash) for o in orams}) == 4
         assert len({o.cipher.key for o in orams}) == 4   # distinct derived keys
 
     def test_partition_sizing_covers_keyspace(self):
-        layer = _layer(4)
+        layer, _ = _layer(4)
         for part in layer.partitions:
             assert part.oram.params.num_blocks == 64    # ceil(256 / 4)
 
     def test_routing_matches_key_partition(self):
-        layer = _layer(4)
+        layer, _ = _layer(4)
         config = layer.config
         for i in range(50):
             key = f"k{i}"
@@ -160,7 +165,7 @@ class TestParallelTiming:
         assert proxy.clock.now_ms == pytest.approx(before + makespan)
 
     def test_deferred_clock_leaves_no_residue(self):
-        layer = _layer(4)
+        layer, _ = _layer(4)
         layer.bulk_load({f"k{i}": b"v" for i in range(64)})
         layer.begin_epoch()
         layer.execute_read_batch([f"k{i}" for i in range(8)], 16)
@@ -175,8 +180,8 @@ def _cluster_layer(shards, servers, **overrides):
     cluster = StorageCluster(latency=config.backend, num_servers=servers,
                              clock=clock, charge_latency=False,
                              link_extra_rtt_ms=config.link_extra_rtt_ms)
-    return build_data_layer(config, storage=cluster, clock=clock,
-                            master_key=b"m" * 32), cluster
+    return PartitionedDataLayer(config, storage=cluster, clock=clock,
+                                master_key=b"m" * 32), cluster
 
 
 class TestServerTopology:
@@ -203,8 +208,8 @@ class TestServerTopology:
         clock = SimClock()
         cluster = StorageCluster(latency="dummy", num_servers=2, clock=clock)
         with pytest.raises(ValueError, match="cluster"):
-            build_data_layer(_config(shards=4, storage_servers=4),
-                             storage=cluster, clock=clock, master_key=b"m" * 32)
+            PartitionedDataLayer(_config(shards=4, storage_servers=4),
+                                 storage=cluster, clock=clock, master_key=b"m" * 32)
 
     def test_plain_server_with_multi_server_config_rejected(self):
         """No silent degrade to colocated: a multi-server config given a
@@ -212,8 +217,8 @@ class TestServerTopology:
         clock = SimClock()
         storage = InMemoryStorageServer(latency="dummy", clock=clock)
         with pytest.raises(ValueError, match="StorageCluster"):
-            build_data_layer(_config(shards=4, storage_servers=4),
-                             storage=storage, clock=clock, master_key=b"m" * 32)
+            PartitionedDataLayer(_config(shards=4, storage_servers=4),
+                                 storage=storage, clock=clock, master_key=b"m" * 32)
 
     def test_heterogeneous_link_slows_only_its_partitions(self):
         """A slow link raises the fan-out makespan only when one of *its*
@@ -233,7 +238,7 @@ class TestServerTopology:
 
 class TestStaggeredFanout:
     def test_enough_lanes_charges_the_ideal_parallel_bound(self):
-        layer = _layer(4)   # default parallelism (1024) >= shards
+        layer, _ = _layer(4)   # default parallelism (1024) >= shards
         layer.bulk_load({f"k{i}": b"v" for i in range(64)})
         layer.begin_epoch()
         layer.execute_read_batch([f"k{i}" for i in range(8)], 16)
@@ -248,8 +253,8 @@ class TestStaggeredFanout:
                                         charge_latency=False)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
-        layer = build_data_layer(config, storage=storage, clock=clock,
-                                 master_key=b"m" * 32)
+        layer = PartitionedDataLayer(config, storage=storage, clock=clock,
+                                     master_key=b"m" * 32)
         assert config.fanout_lanes == 4
         layer.bulk_load({f"k{i}": b"v" for i in range(128)})
         layer.begin_epoch()
@@ -265,8 +270,8 @@ class TestStaggeredFanout:
                                         charge_latency=False)
         config = _config(shards=8, parallelism=4, backend="server",
                          read_batch_size=32, write_batch_size=32)
-        layer = build_data_layer(config, storage=storage, clock=clock,
-                                 master_key=b"m" * 32)
+        layer = PartitionedDataLayer(config, storage=storage, clock=clock,
+                                     master_key=b"m" * 32)
         layer.bulk_load({f"k{i}": b"v" for i in range(128)})
         layer.begin_epoch()
         before = clock.now_ms
