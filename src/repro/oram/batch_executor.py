@@ -15,7 +15,9 @@ executes logical requests the way Section 7 of the paper describes:
 * at the end of the epoch the buffered rewrites are deduplicated (only the
   last version of each bucket is written) and flushed as one parallel write
   batch; reads that targeted an intermediate buffered version were served
-  locally from the buffer.
+  locally from the buffer.  Rewrites stay plaintext until the flush seals
+  them (:func:`~repro.oram.ring_oram.seal_rewrites`), so superseded
+  versions are never encrypted.
 
 Setting ``buffer_writes=False`` disables the delayed-visibility optimisation
 (every eviction's write phase executes immediately); Figure 10d measures the
@@ -27,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.oram.crypto import freshness_context
+from repro.oram.crypto import IntegrityError, freshness_context
 from repro.oram.dependency import (PhysicalRead, simulate_parallel_read_batch,
                                    simulate_parallel_write_batch)
 from repro.oram import path_math
-from repro.oram.ring_oram import BucketRewrite, PathReadPlan, RingOram, SlotRead
+from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
+                                  seal_rewrites)
 from repro.oram.stash import StashReason
 from repro.sim.latency import CpuCostModel, LatencyModel, get_latency_model
 
@@ -138,7 +141,9 @@ class EpochBatchExecutor:
         :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call — the
         per-slot bookkeeping (cache fills, :class:`PhysicalRead` descriptors,
         stats) is unchanged from the historical one-call-per-slot form.
-        Returns ``{block_id: value}`` for the real blocks recovered.
+        Returns ``{block_id: value}`` for the real blocks recovered.  Dummy
+        and empty slots are fetched but never opened; a real slot the server
+        does not return raises :class:`~repro.oram.crypto.IntegrityError`.
         """
         cache = self._read_cache
         missing: List[SlotRead] = []
@@ -177,7 +182,8 @@ class EpochBatchExecutor:
                 continue
             blob = cache.get(slot.storage_key)
             if blob is None:
-                continue
+                raise IntegrityError(
+                    f"real slot {slot.storage_key} missing from storage")
             to_open.append(blob)
             to_open_contexts.append(freshness_context(
                 slot.bucket_id, slot.version, slot.slot_index))
@@ -198,21 +204,25 @@ class EpochBatchExecutor:
                 self._rewrites_buffered_total += 1
             return
         # Immediate write-back (delayed visibility disabled).
-        items: Dict[str, bytes] = {}
-        slot_counts: Dict[int, int] = {}
-        for rewrite in rewrites:
-            items.update(rewrite.storage_items())
-            slot_counts[rewrite.bucket_id] = len(rewrite.slot_payloads)
-        if not items:
-            return
+        if rewrites:
+            self._write_out(rewrites)
+
+    def _write_out(self, rewrites: Sequence[BucketRewrite]) -> float:
+        """Seal ``rewrites`` and write them as one parallel batch.
+
+        Returns the batch's simulated duration, which is also charged.
+        """
+        items = seal_rewrites(self.oram.cipher, rewrites)
         self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
         self.stats.physical_writes += len(items)
         self.lifetime_stats.physical_writes += len(items)
+        slot_counts = {rewrite.bucket_id: len(rewrite.slot_blocks) for rewrite in rewrites}
         schedule = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
                                                  self.cost_model,
                                                  encrypted=self._crypto_charged())
         self._charge_time(schedule.makespan_ms)
         self.stats.write_time_ms += schedule.makespan_ms
+        return schedule.makespan_ms
 
     def _run_maintenance(self, touched_buckets: Sequence[int],
                          physical: List[PhysicalRead]) -> None:
@@ -350,34 +360,23 @@ class EpochBatchExecutor:
         """Write all buffered bucket rewrites as one parallel batch.
 
         Returns the simulated duration of the write-back.  Only the latest
-        buffered version of each bucket is written (write deduplication);
-        intermediate versions were never sent to the server.
+        buffered version of each bucket is sealed and written (write
+        deduplication); intermediate versions were never encrypted nor sent
+        to the server.
         """
         if not self._buffered_rewrites:
             self._read_cache.clear()
             self._buffered_versions.clear()
             return 0.0
 
-        items: Dict[str, bytes] = {}
-        slot_counts: Dict[int, int] = {}
-        for bucket_id, rewrite in sorted(self._buffered_rewrites.items()):
-            items.update(rewrite.storage_items())
-            slot_counts[bucket_id] = len(rewrite.slot_payloads)
-
+        rewrites = [rewrite for _, rewrite in sorted(self._buffered_rewrites.items())]
         trace = getattr(self.oram.storage, "trace", None)
         if trace is not None:
-            trace.begin_batch("write", self.oram.clock.now_ms, len(items))
-        self.oram.storage.write_batch(items, parallelism=self.parallelism, record_batch=False)
-        self.stats.physical_writes += len(items)
-        self.lifetime_stats.physical_writes += len(items)
-
-        schedule = simulate_parallel_write_batch(slot_counts, self.latency, self.parallelism,
-                                                 self.cost_model,
-                                                 encrypted=self._crypto_charged())
-        self._charge_time(schedule.makespan_ms)
-        self.stats.write_time_ms += schedule.makespan_ms
+            trace.begin_batch("write", self.oram.clock.now_ms,
+                              sum(len(rewrite.slot_blocks) for rewrite in rewrites))
+        elapsed = self._write_out(rewrites)
 
         self._buffered_rewrites.clear()
         self._buffered_versions.clear()
         self._read_cache.clear()
-        return schedule.makespan_ms
+        return elapsed

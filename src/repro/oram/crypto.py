@@ -5,7 +5,7 @@ keyed XOR keystream (SHA-256 in counter mode) plus an HMAC-SHA256 tag.  The
 substitution is documented in DESIGN.md: nothing in the evaluation depends on
 cryptographic strength — what matters is that
 
-* every slot stored on the server is a fixed-size, freshly randomised
+* every slot is a fixed-size string indistinguishable from a fresh
   ciphertext (so the adversary cannot distinguish real blocks from dummies or
   correlate rewrites), and
 * integrity tags bind a ciphertext to its storage position and freshness
@@ -14,12 +14,35 @@ cryptographic strength — what matters is that
 Encryption cost is charged to the simulated clock by the executor via
 :class:`repro.sim.latency.CpuCostModel`, not here; these functions stay pure.
 
+Filler for dummy and empty slots
+--------------------------------
+Ring ORAM never opens a slot that holds no real block: the planner records
+which slots are real, and a slot whose expected block is ``None`` is fetched
+(the server must see the read) but never decrypted.  Such slots are therefore
+written as :meth:`CipherSuite.filler_blocks` — fresh ``os.urandom`` bytes of
+:attr:`CipherSuite.ciphertext_size` length — instead of sealed dummies.  This
+is safe because a real ciphertext is ``nonce || plaintext XOR keystream ||
+tag`` with a random nonce, and under the PRF assumption the keystream and
+the tag already rest on, that string is indistinguishable from uniformly
+random bytes of the same length; a uniformly random string is exactly what a
+filler slot holds.  Real slots keep their tag bound to (bucket, version,
+slot), so Appendix A's freshness and integrity checks still cover every byte
+the proxy consumes: a filler (or any other foreign blob) replayed into a real
+slot fails its MAC.
+
+Reusing a keystream, or a filler string, across slots would *not* be safe:
+two identical slots (or two ciphertexts whose XOR equals the XOR of their
+plaintexts) are trivially linkable, which would reveal which slots are
+dummies and which rewrites belong together.  Filler is therefore drawn from
+the operating system's CSPRNG on every write, never from a seeded or
+non-cryptographic generator and never cached.
+
 Hot path
 --------
-A bucket rewrite seals ``Z + S`` slots and an epoch rewrites hundreds of
-buckets, so this module is the single hottest Python code in the tier-1
-closed loop (see ``scripts/profile_hotpath.py``).  Three things keep it fast
-without changing a single output byte:
+Every real slot an epoch writes is sealed, and every real slot it reads is
+opened, so this module stays on the hot path of the tier-1 closed loop (see
+``scripts/profile_hotpath.py``).  Three things keep it fast without changing
+a single output byte:
 
 * the SHA-256 counter keystream reuses a *midstate*: the hash object over
   ``key`` (and, per ciphertext, ``key + nonce``) is built once and
@@ -363,9 +386,20 @@ class CipherSuite:
         block_id = None if bid == 0xFFFFFFFF else bid
         return block_id, payload[4:]
 
-    def dummy_block(self, context: bytes = b"") -> bytes:
-        """A fresh ciphertext indistinguishable from a real sealed block."""
-        return self.seal_block(None, b"", context)
+    def filler_blocks(self, count: int) -> List[bytes]:
+        """Payloads for ``count`` slots that hold no real block.
+
+        Each is :attr:`ciphertext_size` fresh ``os.urandom`` bytes, drawn
+        with one call for the whole batch, and is never opened (see the
+        module docstring for why this is as good as a sealed dummy).  With
+        encryption disabled the payload is the padded dummy record that
+        :meth:`seal_block` produces for ``(None, b"")``.
+        """
+        if not self.enabled:
+            return [self.pad(struct.pack(">I", 0xFFFFFFFF))] * count
+        size = self.ciphertext_size
+        pool = os.urandom(size * count)
+        return [pool[i * size:(i + 1) * size] for i in range(count)]
 
 
 def freshness_context(bucket: int, version: int, slot: int = -1) -> bytes:

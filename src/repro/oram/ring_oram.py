@@ -18,6 +18,17 @@ Each physical slot is stored under its own key::
 so that a path read is ``L + 1`` single-slot reads (exactly what the server
 observes in the paper) and a bucket rewrite is ``Z + S`` slot writes under a
 *new* version — the copy-on-write shadow paging that recovery relies on.
+
+Sealing
+-------
+Planning a rewrite (:meth:`RingOram._build_rewrite`) records plaintext only:
+which block each slot holds and the blocks' values.  Nothing is encrypted
+until the rewrite is written out, by :func:`seal_rewrites`, so a bucket
+version that a later eviction in the same epoch supersedes is never sealed
+at all.  At write-out every real slot is sealed (bound to its bucket,
+version and slot), and every dummy or empty slot — which no code path ever
+opens — gets fresh random filler of ciphertext length (see
+:mod:`repro.oram.crypto` for why that is indistinguishable).
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.oram import path_math
-from repro.oram.crypto import CipherSuite, freshness_context
+from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.metadata import MetadataTable
 from repro.oram.parameters import RingOramParameters
 from repro.oram.position_map import PositionMap
@@ -85,19 +96,45 @@ class PathReadPlan:
 
 @dataclass
 class BucketRewrite:
-    """A bucket's new contents, ready to be written out (copy-on-write)."""
+    """A bucket's next version in plaintext, sealed only at write-out.
+
+    ``slot_blocks[i]`` is the block id slot ``i`` holds (``None`` = dummy or
+    empty slot) and ``plain_contents`` maps each of those block ids to its
+    value.  :func:`seal_rewrites` turns rewrites into storage items.
+    """
 
     bucket_id: int
     version: int                              # version being written
-    slot_payloads: Dict[int, bytes] = field(default_factory=dict)
+    slot_blocks: List[Optional[int]] = field(default_factory=list)
     plain_contents: Dict[int, bytes] = field(default_factory=dict)
 
-    def storage_items(self) -> Dict[str, bytes]:
-        """Storage key/payload pairs for every slot of the new version."""
-        return {
-            slot_storage_key(self.bucket_id, self.version, idx): payload
-            for idx, payload in self.slot_payloads.items()
-        }
+
+def seal_rewrites(cipher: CipherSuite,
+                  rewrites: Sequence[BucketRewrite]) -> Dict[str, bytes]:
+    """Storage key/payload pairs for every slot of every rewrite, in order.
+
+    The real slots of all rewrites are sealed with one
+    :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call, each bound to
+    its (bucket, version, slot); every dummy or empty slot gets a payload
+    from one :meth:`~repro.oram.crypto.CipherSuite.filler_blocks` call.
+    """
+    entries = []
+    filler_count = 0
+    for rewrite in rewrites:
+        for idx, block_id in enumerate(rewrite.slot_blocks):
+            if block_id is None:
+                filler_count += 1
+            else:
+                entries.append((block_id, rewrite.plain_contents[block_id],
+                                freshness_context(rewrite.bucket_id, rewrite.version, idx)))
+    sealed = iter(cipher.seal_blocks(entries))
+    filler = iter(cipher.filler_blocks(filler_count))
+    return {
+        slot_storage_key(rewrite.bucket_id, rewrite.version, idx):
+            next(filler) if block_id is None else next(sealed)
+        for rewrite in rewrites
+        for idx, block_id in enumerate(rewrite.slot_blocks)
+    }
 
 
 @dataclass
@@ -336,24 +373,16 @@ class RingOram:
         return self._build_rewrite(bucket_id, placements)
 
     def _build_rewrite(self, bucket_id: int, contents: List[Tuple[int, bytes]]) -> BucketRewrite:
-        """Produce the sealed slot payloads for a bucket's next version.
+        """Advance a bucket's metadata and record its next version in plaintext.
 
-        The whole bucket — ``Z + S`` real and dummy slots — is sealed with
-        one :meth:`~repro.oram.crypto.CipherSuite.seal_blocks` call instead
-        of a cipher call per slot; bucket rewrites dominate the hot path.
+        Nothing is sealed here: the rewrite keeps the new slot layout and
+        the block values, and :func:`seal_rewrites` seals its real slots
+        (and draws filler for the rest) only when it is written out.
         """
         meta = self.metadata.rewrite_bucket(bucket_id, contents)
-        version = meta.version
-        by_block = dict(contents)
-        entries = [
-            (slot.block_id,
-             by_block[slot.block_id] if slot.block_id is not None else b"",
-             freshness_context(bucket_id, version, idx))
-            for idx, slot in enumerate(meta.slots)]
-        sealed = self.cipher.seal_blocks(entries)
-        return BucketRewrite(bucket_id=bucket_id, version=version,
-                             slot_payloads=dict(enumerate(sealed)),
-                             plain_contents=dict(by_block))
+        return BucketRewrite(bucket_id=bucket_id, version=meta.version,
+                             slot_blocks=[slot.block_id for slot in meta.slots],
+                             plain_contents=dict(contents))
 
     def buckets_needing_reshuffle(self, bucket_ids: Sequence[int]) -> List[int]:
         """Subset of ``bucket_ids`` that must be early-reshuffled."""
@@ -373,10 +402,16 @@ class RingOram:
         return self.cipher.enabled
 
     def _decrypt_slot(self, slot: SlotRead, blob: Optional[bytes]) -> Optional[Tuple[int, bytes]]:
-        """Decrypt one fetched slot; returns (block_id, value) for real blocks."""
+        """Decrypt one fetched slot; returns (block_id, value) for real blocks.
+
+        Dummy and empty slots are never opened.  A real slot the server does
+        not return raises :class:`~repro.oram.crypto.IntegrityError`.
+        """
         self.clock.advance(self.cost_model.sequential_block_cost_ms(self._crypto_charged()))
-        if blob is None or slot.expected_block is None:
+        if slot.expected_block is None:
             return None
+        if blob is None:
+            raise IntegrityError(f"real slot {slot.storage_key} missing from storage")
         context = freshness_context(slot.bucket_id, slot.version, slot.slot_index)
         block_id, value = self.cipher.open_block(blob, context)
         if block_id is None:
@@ -399,10 +434,8 @@ class RingOram:
 
     def _write_rewrites(self, rewrites: Sequence[BucketRewrite],
                         parallelism: int = 1) -> None:
-        """Write new bucket versions to storage."""
-        items: Dict[str, bytes] = {}
-        for rewrite in rewrites:
-            items.update(rewrite.storage_items())
+        """Seal and write new bucket versions to storage."""
+        items = seal_rewrites(self.cipher, rewrites)
         if items:
             self.storage.write_batch(items, parallelism=parallelism)
             self.stats_physical_writes += len(items)
@@ -531,7 +564,7 @@ class RingOram:
         lands in the stash.  Bucket versions advance exactly once, so the
         resulting server state is indistinguishable from a tree that was
         filled through the normal protocol (every slot is a fresh
-        ciphertext).
+        ciphertext or filler of ciphertext length).
         """
         ordered = sorted(blocks.items())
         # Assign leaves first (one RNG draw per block, in block-id order —

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ObladiConfig
-from repro.oram.crypto import CipherSuite
+from repro.oram.crypto import CipherSuite, IntegrityError, freshness_context
 from repro.oram.position_map import PositionMap
 from repro.oram.metadata import MetadataTable
 from repro.oram.stash import Stash
@@ -302,7 +302,9 @@ class RecoveryManager:
         The position map restored from the checkpoint still maps every block
         to the leaf it had when the aborted epoch read it, so replaying the
         logged keys touches the same buckets the adversary already observed.
-        Real blocks encountered are remapped and absorbed into the stash.
+        Real blocks encountered are remapped and absorbed into the stash; a
+        real slot the server does not return raises
+        :class:`~repro.oram.crypto.IntegrityError`.
         """
         records = self.wal.read_epoch(result.aborted_epoch, self.config.read_batches)
         replay_keys: List[str] = []
@@ -318,10 +320,12 @@ class RecoveryManager:
             physical_requests += len(slot_keys)
             result.bytes_read += sum(len(v) for v in fetched.values.values() if v)
             for slot in plan.slot_reads:
-                blob = fetched.values.get(slot.storage_key)
-                if blob is None or slot.expected_block is None:
+                if slot.expected_block is None:
                     continue
-                from repro.oram.crypto import freshness_context
+                blob = fetched.values.get(slot.storage_key)
+                if blob is None:
+                    raise IntegrityError(
+                        f"real slot {slot.storage_key} missing from storage")
                 bid, value = part.cipher.open_block(
                     blob, freshness_context(slot.bucket_id, slot.version, slot.slot_index))
                 if bid is not None and bid not in part.oram.stash:

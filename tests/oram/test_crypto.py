@@ -111,14 +111,26 @@ class TestBlockSealing:
         assert value == b"value"
 
     def test_seal_open_dummy_block(self, suite):
-        block_id, value = suite.open_block(suite.dummy_block())
+        block_id, value = suite.open_block(suite.seal_block(None, b""))
         assert block_id is None
         assert value == b""
 
     def test_real_and_dummy_blocks_same_size(self, suite):
         real = suite.seal_block(7, b"payload")
-        dummy = suite.dummy_block()
-        assert len(real) == len(dummy)
+        assert len(suite.seal_block(None, b"")) == len(real)
+        assert [len(f) for f in suite.filler_blocks(3)] == [len(real)] * 3
+
+    def test_filler_is_fresh_and_never_authenticates(self, suite):
+        filler = suite.filler_blocks(64)
+        assert len(set(filler)) == 64
+        assert not set(filler) & set(suite.filler_blocks(64))
+        with pytest.raises(IntegrityError):
+            suite.open_blocks(filler[:1], [freshness_context(0, 1, 0)])
+
+    def test_filler_without_encryption_is_the_padded_dummy(self):
+        plain = CipherSuite(key=b"k" * 32, block_size=64, enabled=False)
+        assert plain.filler_blocks(2) == [plain.seal_block(None, b"")] * 2
+        assert plain.filler_blocks(0) == []
 
     def test_sealed_block_bound_to_position(self, suite):
         ctx = freshness_context(bucket=3, version=1, slot=5)

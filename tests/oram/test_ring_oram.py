@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.oram import path_math
-from repro.oram.crypto import CipherSuite
+from repro.oram.crypto import CipherSuite, IntegrityError
 from repro.oram.parameters import RingOramParameters
 from repro.oram.ring_oram import OramAccess, OramOp, RingOram
 from repro.sim.clock import SimClock
@@ -264,3 +264,23 @@ class TestPhysicalBehaviour:
             second.write(block, bytes([block]))
         assert first.position_map.serialize_full() == second.position_map.serialize_full()
         assert first.eviction_count == second.eviction_count
+
+
+class TestFailClosed:
+    def test_server_dropping_its_keys_raises_instead_of_returning_none(self):
+        # A block that metadata places in the tree must raise when the
+        # server has lost it: None would read as "never written".
+        oram, storage = make_oram(seed=0)
+        assert oram.cipher.authenticated
+        for block in range(8):
+            oram.write(block, b"v%d" % block)
+        in_stash = {block for block in range(8) if block in oram.stash}
+        assert len(in_stash) < 8
+        storage.delete_batch(storage.keys())
+        raised = 0
+        for block in range(8):
+            try:
+                assert oram.read(block) == b"v%d" % block
+            except IntegrityError:
+                raised += 1
+        assert raised >= 8 - len(in_stash)

@@ -114,6 +114,22 @@ class TestRecovery:
         assert result.paths_replayed >= 1
         assert result.paths_ms > 0
 
+    def test_replay_of_a_lost_real_slot_raises(self, durable_proxy_with_history):
+        # The replayed path reaches k3's tree copy; a server that dropped the
+        # ORAM slots must fail recovery rather than let the block vanish.
+        proxy = durable_proxy_with_history
+        injector = CrashInjector(proxy, crash_after_batches=1,
+                                 point=CrashPoint.AFTER_READ_BATCH)
+        injector.arm()
+        proxy.submit(read_program("k3"))
+        with pytest.raises(ProxyCrashedError):
+            proxy.run_epoch()
+        proxy.storage.delete_batch([key for key in proxy.storage.keys()
+                                    if key.startswith("oram/")])
+        from repro.oram.crypto import IntegrityError
+        with pytest.raises(IntegrityError, match="missing"):
+            recover_proxy(proxy.storage, proxy.config, master_key=proxy.master_key)
+
     def test_wrong_master_key_cannot_recover(self, durable_proxy_with_history):
         proxy = durable_proxy_with_history
         proxy.crash()
