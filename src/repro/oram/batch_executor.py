@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.oram.crypto import IntegrityError, freshness_context
-from repro.oram.dependency import (PhysicalRead, simulate_parallel_read_batch,
-                                   simulate_parallel_write_batch)
-from repro.oram import path_math
+from repro.oram.dependency import simulate_parallel_read_batch, simulate_parallel_write_batch
 from repro.oram.ring_oram import (BucketRewrite, PathReadPlan, RingOram, SlotRead,
                                   seal_rewrites)
 from repro.oram.stash import StashReason
@@ -131,7 +129,7 @@ class EpochBatchExecutor:
     # Physical fetch helpers
     # ------------------------------------------------------------------ #
     def _fetch_slots(self, slot_reads: Sequence[SlotRead],
-                     physical: List[PhysicalRead]) -> Dict[int, bytes]:
+                     physical: List[int]) -> Dict[int, bytes]:
         """Fetch a plan's slots with one storage batch and one decrypt batch.
 
         Each slot's sealed payload comes from the epoch write buffer, the
@@ -139,8 +137,9 @@ class EpochBatchExecutor:
         issued as a *single* ``read_batch`` and all recovered real blocks are
         opened with a *single*
         :meth:`~repro.oram.crypto.CipherSuite.open_blocks` call — the
-        per-slot bookkeeping (cache fills, :class:`PhysicalRead` descriptors,
-        stats) is unchanged from the historical one-call-per-slot form.
+        per-slot bookkeeping (cache fills, the bucket id of every server
+        fetch appended to ``physical``, stats) is unchanged from the
+        historical one-call-per-slot form.
         Returns ``{block_id: value}`` for the real blocks recovered.  Dummy
         and empty slots are fetched but never opened; a real slot the server
         does not return raises :class:`~repro.oram.crypto.IntegrityError`.
@@ -158,11 +157,9 @@ class EpochBatchExecutor:
             keys = [slot.storage_key for slot in missing]
             result = self.oram.storage.read_batch(keys, parallelism=1,
                                                   record_batch=False)
-            for slot, key in zip(missing, keys):
+            for key in keys:
                 cache[key] = result.values.get(key)
-                physical.append(PhysicalRead(
-                    key=key, bucket_id=slot.bucket_id,
-                    level=path_math.bucket_level(slot.bucket_id)))
+            physical.extend(slot.bucket_id for slot in missing)
             self.stats.physical_reads += len(missing)
             self.lifetime_stats.physical_reads += len(missing)
 
@@ -225,7 +222,7 @@ class EpochBatchExecutor:
         return schedule.makespan_ms
 
     def _run_maintenance(self, touched_buckets: Sequence[int],
-                         physical: List[PhysicalRead]) -> None:
+                         physical: List[int]) -> None:
         """Early reshuffles for over-read buckets plus any due evict-path."""
         for bid in self.oram.buckets_needing_reshuffle(touched_buckets):
             plan = self.oram.plan_early_reshuffle(bid)
@@ -260,7 +257,7 @@ class EpochBatchExecutor:
                     f"read batch of {len(requests)} exceeds configured size {batch_size}")
             requests.extend([None] * (batch_size - len(requests)))
 
-        physical: List[PhysicalRead] = []
+        physical: List[int] = []
         results: Dict[int, Optional[bytes]] = {}
         trace = getattr(self.oram.storage, "trace", None)
         if trace is not None:
@@ -323,7 +320,7 @@ class EpochBatchExecutor:
         evictions they trigger produce physical traffic, and that traffic is
         buffered until :meth:`flush_epoch`.
         """
-        physical: List[PhysicalRead] = []
+        physical: List[int] = []
         count = 0
         for block_id in sorted(items):
             value = items[block_id]

@@ -13,6 +13,12 @@ a bound on how many can run concurrently.  This is a classic list-scheduling
 computation (greedy earliest-start on a bounded worker pool, respecting
 precedence edges), which is exactly the behaviour of a thread pool executing
 a dependency DAG.
+
+With at least as many workers as operations no operation ever waits for a
+worker, so the makespan is the DAG's longest path; callers whose batches fit
+their pool compute that directly (:mod:`repro.oram.dependency`, the
+partition fan-out in :mod:`repro.sharding.partitioned`) and reach this
+solver only for pools narrower than the work.
 """
 
 from __future__ import annotations
@@ -170,7 +176,8 @@ def build_ops(durations: Sequence[float],
     """Helper to build a list of ScheduledOps from parallel arrays.
 
     ``deps[i]`` lists the *indices* of operations that operation ``i`` waits
-    for.  Used heavily by tests and by the ORAM executor.
+    for.  A convenience for tests; production callers build their
+    :class:`ScheduledOp` lists directly.
     """
     ops: List[ScheduledOp] = []
     for i, duration in enumerate(durations):

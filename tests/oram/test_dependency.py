@@ -1,18 +1,19 @@
 """Tests for the parallel-batch dependency model."""
 
-import pytest
+from unittest import mock
 
-from repro.oram.dependency import (DependencyGraphBuilder, PhysicalRead,
-                                   simulate_parallel_read_batch,
+from repro.api import EngineConfig, create_engine
+from repro.oram.dependency import (DependencyGraphBuilder, simulate_parallel_read_batch,
                                    simulate_parallel_write_batch,
                                    simulate_sequential_read_batch)
-from repro.sim.latency import BACKENDS, CpuCostModel
+from repro.sim.latency import BACKENDS
+from repro.sim.scheduler import ParallelScheduler
+from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 
 
 def make_reads(n, buckets=None):
-    buckets = buckets if buckets is not None else list(range(n))
-    return [PhysicalRead(key=f"oram/{b}/v0/s/{i}", bucket_id=b, level=0)
-            for i, b in enumerate(buckets)]
+    """Bucket ids of ``n`` physical slot reads (distinct buckets by default)."""
+    return list(buckets) if buckets is not None else list(range(n))
 
 
 class TestGraphBuilder:
@@ -102,3 +103,34 @@ class TestSimulatedSchedules:
         dynamo = simulate_parallel_read_batch(reads, BACKENDS["dynamo"], 1024).makespan_ms
         server = simulate_parallel_read_batch(reads, BACKENDS["server"], 1024).makespan_ms
         assert dynamo > server
+
+
+class TestSchedulerFallback:
+    """The closed form covers unbounded pools; bounded pools still list-schedule."""
+
+    @staticmethod
+    def _epoch_schedule_calls(parallelism):
+        workload = SmallBankWorkload(SmallBankConfig(num_accounts=200, seed=5))
+        config = (EngineConfig()
+                  .with_oram(num_blocks=1024, z_real=8, block_size=192)
+                  .with_batching(read_batches=3, read_batch_size=64, write_batch_size=64)
+                  .with_backend("server")
+                  .with_durability(False)
+                  .with_sharding(4)
+                  .with_seed(5))
+        if parallelism is not None:
+            config = config.with_parallelism(parallelism)
+        engine = create_engine("obladi", config)
+        engine.load_initial_data(workload.initial_data())
+        programs = workload.transaction_factories(24)
+        with mock.patch.object(ParallelScheduler, "schedule", autospec=True,
+                               side_effect=ParallelScheduler.schedule) as spy:
+            results = engine.submit_many(programs)
+        assert any(result.committed for result in results)
+        return spy.call_count
+
+    def test_default_parallelism_epoch_never_list_schedules(self):
+        assert self._epoch_schedule_calls(None) == 0
+
+    def test_bounded_pool_epoch_still_list_schedules(self):
+        assert self._epoch_schedule_calls(64) > 0
